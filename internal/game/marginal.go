@@ -50,6 +50,24 @@ func (g *Game) marginalAt(i int, s []float64, st model.State) float64 {
 	return -st.Theta[i] + (cp.Value-s[i])*dthds
 }
 
+// marginalWS is marginalAt for player ws.i at the workspace iterate, with
+// λ_i, ∂φ/∂m_i and dλ_i/dφ read from the physical workspace's class
+// exponentials, which the state solve has just left at st.Phi. The float
+// operations are marginalAt's, in the same order, so the value is
+// bit-identical; st must be the state the workspace solved last.
+//
+//neutralnet:hotpath
+func (g *Game) marginalWS(ws *Workspace, st model.State) float64 {
+	i := ws.i
+	cp := g.Sys.CPs[i]
+	ti := g.P - ws.s[i]
+	dmds := -cp.Demand.DM(ti) // ∂m_i/∂s_i ≥ 0
+	lam := ws.phys.Lambda(i, st.Phi)
+	dphids := ws.phys.DPhiDM(i, st.Phi) * dmds
+	dthds := dmds*lam + st.M[i]*ws.phys.DLambda(i, st.Phi)*dphids
+	return -st.Theta[i] + (cp.Value-ws.s[i])*dthds
+}
+
 // DThetaDS returns ∂θ_i/∂s_j at profile s: for j = i the own effect (always
 // ≥ 0 by Lemma 3), for j ≠ i the externality m_i·λ_i'(φ)·∂φ/∂s_j ≤ 0.
 func (g *Game) DThetaDS(i, j int, s []float64) (float64, error) {

@@ -65,7 +65,7 @@ func NewWorkspace() *Workspace {
 		st, err := ws.g.stateOneWS(ws, ws.i)
 		v := math.NaN()
 		if err == nil {
-			v = ws.g.marginalAt(ws.i, ws.s, st)
+			v = ws.g.marginalWS(ws, st)
 		}
 		ws.s[ws.i] = old
 		return v

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"neutralnet/internal/econ"
 	"neutralnet/internal/numeric"
 )
 
@@ -14,6 +15,19 @@ import (
 // performs zero heap allocations after warm-up. The allocating System
 // methods (Solve, SolveUtilization, PopulationsAt, ThroughputAt) remain as
 // thin adapters over these kernels.
+//
+// The workspace kernels also exploit Lemma 2: utilization depends on the CPs
+// only through their φ-elasticity classes. Bind groups the CPs whose
+// throughput is econ.ExpThroughput by exact β, and the workspace evaluates
+// one e^{−βφ} per class per distinct φ, caching the values for the two most
+// recent φ. The gap and its derivative, the throughput fill of SolveInto
+// and the marginal kernels one layer up (Lambda, DLambda, DPhiDM) all read
+// λ_k = Peak_k·e_c and dλ_k = −β_c·Peak_k·e_c from that cache — the same
+// float operations, in the same order, as ExpThroughput.Lambda/DLambda, so
+// every result is bit-identical to the System reference definitions (Gap,
+// GapDerivative, DPhiDM, ThroughputInto); only the number of math.Exp calls
+// drops, from one per CP to one per class. Any other throughput family
+// keeps its per-CP interface call.
 
 // Utilization root-solver names accepted by Workspace.SetUtilSolver and, one
 // layer up, by the engine's WithUtilizationSolver option.
@@ -46,6 +60,20 @@ type Workspace struct {
 	m     []float64 // populations buffer (borrowed by State.M)
 	theta []float64 // throughput buffer (borrowed by State.Theta)
 
+	// rows is the Lemma-2 class table Bind builds for sys (see classRow);
+	// classes is the number of distinct β classes in it. The class
+	// exponentials are cached in two banks for the two most recent distinct
+	// φ: ePhi[b] is the φ of bank b (NaN: empty) and bank is the one last
+	// used. Two, because Brent usually ends on a sub-tolerance probe and
+	// returns the point before it; the Θ fill and the marginal at the solved
+	// φ then still hit. exps counts the class exponentials computed since
+	// construction.
+	rows    []classRow
+	classes int
+	ePhi    [2]float64
+	bank    int
+	exps    int
+
 	// gapFn is the utilization gap g(φ) = Θ(φ, µ) − Σ_k m_k λ_k(φ) bound to
 	// the workspace's current system and population buffer. Binding it once
 	// at construction (instead of closing over locals per solve) is what
@@ -63,11 +91,23 @@ type Workspace struct {
 	prevPhi    float64
 }
 
+// classRow is one row of the class table. Row k describes CP k — the index
+// of its β class, or -1 when its throughput is not econ.ExpThroughput, and
+// its Peak — and, for k below the class count, also class k: its β and the
+// exponentials e^{−β·ePhi[b]} of both cache banks. Sharing rows keeps the
+// whole table one allocation of n rows.
+type classRow struct {
+	class int
+	peak  float64
+	beta  float64
+	e     [2]float64
+}
+
 // NewWorkspace returns an empty workspace; buffers are sized on first use.
 func NewWorkspace() *Workspace {
-	w := &Workspace{prevPhi: math.NaN()}
-	w.gapFn = func(phi float64) float64 { return w.sys.Gap(phi, w.m) }
-	w.dgapFn = func(phi float64) float64 { return w.sys.GapDerivative(phi, w.m) }
+	w := &Workspace{prevPhi: math.NaN(), ePhi: [2]float64{math.NaN(), math.NaN()}}
+	w.gapFn = w.gap
+	w.dgapFn = w.gapDerivative
 	return w
 }
 
@@ -101,18 +141,159 @@ func (w *Workspace) UtilSolver() string {
 // across the many inner root finds, which is where the warm win lives.
 func (w *Workspace) ResetUtilSeed() { w.prevPhi = math.NaN() }
 
-// Bind points the workspace at sys and sizes its buffers for sys.N() CPs.
+// Bind points the workspace at sys, sizes its buffers for sys.N() CPs and
+// rebuilds the class table from sys.CPs, dropping any cached exponentials.
 // Rebinding between systems of the same size is free; growing reallocates
-// once.
+// once. The table is a snapshot: after changing a bound system's CPs in
+// place, Bind it again.
 func (w *Workspace) Bind(sys *System) {
 	w.sys = sys
 	n := len(sys.CPs)
-	if cap(w.m) < n {
-		w.m = make([]float64, n)
-		w.theta = make([]float64, n)
+	if cap(w.rows) < n {
+		buf := make([]float64, 2*n)
+		w.m = buf[:n:n]
+		w.theta = buf[n:]
+		w.rows = make([]classRow, n)
 	}
 	w.m = w.m[:n]
 	w.theta = w.theta[:n]
+	w.rows = w.rows[:n]
+	w.classes = 0
+	for k := range sys.CPs {
+		row := &w.rows[k]
+		row.class = -1
+		et, ok := sys.CPs[k].Throughput.(econ.ExpThroughput)
+		if !ok {
+			continue
+		}
+		row.peak = et.Peak
+		row.class = w.classOf(et.Beta)
+	}
+	w.ePhi = [2]float64{math.NaN(), math.NaN()}
+}
+
+// classOf returns the class index of β, registering a new class when no
+// earlier CP has exactly this β (bit equality, so ±0 never merge).
+func (w *Workspace) classOf(beta float64) int {
+	for c := 0; c < w.classes; c++ {
+		if math.Float64bits(w.rows[c].beta) == math.Float64bits(beta) {
+			return c
+		}
+	}
+	c := w.classes
+	w.rows[c].beta = beta
+	w.classes++
+	return c
+}
+
+// ClassExps reports how many class exponentials e^{−βφ} the workspace has
+// computed since construction: the work count of its λ kernels.
+func (w *Workspace) ClassExps() int { return w.exps }
+
+// classExp makes the current bank hold e^{−β_c·φ} for every class,
+// computing them only when φ is in neither bank (the older bank is
+// overwritten).
+//
+//neutralnet:hotpath
+func (w *Workspace) classExp(phi float64) {
+	if phi == w.ePhi[w.bank] {
+		return
+	}
+	w.bank ^= 1
+	b := w.bank
+	if phi == w.ePhi[b] {
+		return
+	}
+	for c := 0; c < w.classes; c++ {
+		w.rows[c].e[b] = math.Exp(-w.rows[c].beta * phi)
+	}
+	w.exps += w.classes
+	w.ePhi[b] = phi
+}
+
+// lambda is λ_k(φ), assuming classExp(phi) has run: Peak_k·e_c for an
+// exponential CP, the interface call otherwise.
+//
+//neutralnet:hotpath
+func (w *Workspace) lambda(k int, phi float64) float64 {
+	r := &w.rows[k]
+	if r.class < 0 {
+		return w.sys.CPs[k].Throughput.Lambda(phi)
+	}
+	return r.peak * w.rows[r.class].e[w.bank&1]
+}
+
+// dlambda is dλ_k/dφ, assuming classExp(phi) has run.
+//
+//neutralnet:hotpath
+func (w *Workspace) dlambda(k int, phi float64) float64 {
+	r := &w.rows[k]
+	if r.class < 0 {
+		return w.sys.CPs[k].Throughput.DLambda(phi)
+	}
+	c := &w.rows[r.class]
+	return -c.beta * r.peak * c.e[w.bank&1]
+}
+
+// gap is System.Gap over the population buffer, reading the class cache.
+//
+//neutralnet:hotpath
+func (w *Workspace) gap(phi float64) float64 {
+	w.classExp(phi)
+	demand := 0.0
+	e := w.bank & 1
+	for k, mk := range w.m {
+		// w.lambda(k, phi), inlined by hand: this is the root solve's
+		// inner loop, and the interface fallback keeps the compiler from
+		// inlining the helper.
+		var lam float64
+		if r := &w.rows[k]; r.class >= 0 {
+			lam = r.peak * w.rows[r.class].e[e]
+		} else {
+			lam = w.sys.CPs[k].Throughput.Lambda(phi)
+		}
+		demand += mk * lam
+	}
+	return w.sys.Util.Theta(phi, w.sys.Mu) - demand
+}
+
+// gapDerivative is System.GapDerivative over the population buffer,
+// reading the class cache.
+//
+//neutralnet:hotpath
+func (w *Workspace) gapDerivative(phi float64) float64 {
+	w.classExp(phi)
+	d := w.sys.Util.DThetaDPhi(phi, w.sys.Mu)
+	for k, mk := range w.m {
+		d -= mk * w.dlambda(k, phi)
+	}
+	return d
+}
+
+// Lambda returns λ_i(φ) of the bound system's CP i, bit-identical to
+// CPs[i].Throughput.Lambda(phi).
+//
+//neutralnet:hotpath
+func (w *Workspace) Lambda(i int, phi float64) float64 {
+	w.classExp(phi)
+	return w.lambda(i, phi)
+}
+
+// DLambda returns dλ_i/dφ of the bound system's CP i, bit-identical to
+// CPs[i].Throughput.DLambda(phi).
+//
+//neutralnet:hotpath
+func (w *Workspace) DLambda(i int, phi float64) float64 {
+	w.classExp(phi)
+	return w.dlambda(i, phi)
+}
+
+// DPhiDM returns ∂φ/∂m_i at phi for the populations in the workspace
+// buffer, bit-identical to System.DPhiDM(i, phi, w.M()).
+//
+//neutralnet:hotpath
+func (w *Workspace) DPhiDM(i int, phi float64) float64 {
+	return w.Lambda(i, phi) / w.gapDerivative(phi)
 }
 
 // M exposes the population buffer so callers (PopulationsInto consumers)
@@ -145,6 +326,8 @@ func (s *System) ThroughputInto(dst []float64, phi float64, m []float64) {
 // buffers (State.M aliases w.M(), State.Theta aliases the throughput
 // buffer); callers that retain it across solves must Clone it. The math is
 // identical to Solve: same checks, same bracketing, same Brent iteration.
+// The throughput fill reads the class exponentials at the solved φ, which
+// the root solve usually leaves cached.
 //
 //neutralnet:hotpath
 func (s *System) SolveInto(w *Workspace) (State, error) {
@@ -152,7 +335,10 @@ func (s *System) SolveInto(w *Workspace) (State, error) {
 	if err != nil {
 		return State{}, err
 	}
-	s.ThroughputInto(w.theta, phi, w.m)
+	w.classExp(phi)
+	for k, mk := range w.m {
+		w.theta[k] = mk * w.lambda(k, phi)
+	}
 	return State{Phi: phi, M: w.m, Theta: w.theta}, nil
 }
 

@@ -89,8 +89,11 @@ func Adaptive(dims []int, cfg AdaptiveConfig, solve func(chains [][][]int) error
 // ctx.Err() is checked before the coarse-lattice solve and before each
 // refinement round's batch solve — never inside one — so an uncancelled run
 // is bit-identical to Adaptive and a cancelled run stops issuing batches and
-// returns ctx.Err() with the stats accumulated so far. Callers that solve
-// each batch through RunCtx get the finer per-segment cancellation too.
+// returns ctx.Err() with the stats accumulated so far. A cancel during the
+// final batch, after which the search has converged, is not reported: the
+// search is complete and AdaptiveCtx returns its stats and nil. Callers
+// that solve each batch through RunCtx get the finer per-segment
+// cancellation too.
 func AdaptiveCtx(ctx context.Context, dims []int, cfg AdaptiveConfig, solve func(chains [][][]int) error, score func(rank int) float64) (AdaptiveStats, error) {
 	dense := 1
 	for _, d := range dims {

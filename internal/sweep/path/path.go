@@ -146,7 +146,9 @@ func Run[W any](pl Plan, workers int, newWorker func() W, runSegment func(w W, l
 // their current chain, and returns ctx.Err() (unless a segment error arrived
 // first). A panicking runSegment is recovered at the segment boundary,
 // converted to a *PanicError, and cancels the remaining segments like any
-// other first error.
+// other first error. A cancel that arrives after every segment has passed
+// its claim poll is not reported: every segment ran, the result is whole,
+// and RunCtx returns nil.
 func RunCtx[W any](ctx context.Context, pl Plan, workers int, newWorker func() W, runSegment func(w W, lo, hi int) error) error {
 	if pl.n == 0 {
 		return ctx.Err()
@@ -243,14 +245,17 @@ func RunOrdered[W any](pl Plan, workers int, newWorker func() W, runSegment func
 }
 
 // RunOrderedCtx is RunOrdered with cooperative cancellation at segment
-// claims: each claim checks ctx.Err() before waiting on the lead window, so
-// a cancelled context stops new segments, wakes parked workers, suppresses
-// every not-yet-emitted segment's emit, and returns ctx.Err() (unless a
-// runSegment/emit error arrived first). In-flight segments finish their
-// chain — cancellation is segment-granular, keeping the solve hot path
-// zero-alloc and an uncancelled run bit-identical to RunOrdered. Panics in
-// runSegment or emit are recovered at the boundary as *PanicError and cancel
-// the remaining segments like any other first error.
+// claims and emissions: each claim checks ctx.Err() before waiting on the
+// lead window, and each emission re-checks it, so a cancelled context stops
+// new segments, wakes parked workers, suppresses every not-yet-emitted
+// segment's emit — including segments other workers already finished — and
+// returns ctx.Err() (unless a runSegment/emit error arrived first). Unlike
+// RunCtx, a cancel after the last claim still fails the run while any emit
+// is outstanding. In-flight segments finish their chain — cancellation is
+// segment-granular, keeping the solve hot path zero-alloc and an
+// uncancelled run bit-identical to RunOrdered. Panics in runSegment or emit
+// are recovered at the boundary as *PanicError and cancel the remaining
+// segments like any other first error.
 func RunOrderedCtx[W any](ctx context.Context, pl Plan, workers int, newWorker func() W, runSegment func(w W, c, lo, hi int) error, emit func(c, lo, hi int) error) error {
 	if pl.n == 0 {
 		return ctx.Err()
@@ -321,8 +326,15 @@ func RunOrderedCtx[W any](ctx context.Context, pl Plan, workers int, newWorker f
 					done[c%lead] = true
 					// Drain every consecutively completed segment. Emission
 					// runs under the lock: serialized, in order, and
-					// happens-after the worker's buffer writes.
+					// happens-after the worker's buffer writes. ctx is
+					// re-polled before each emission, so a cancel from an
+					// emit callback (or from outside) suppresses segments
+					// that other workers already finished.
 					for next < pl.chains && done[next%lead] {
+						if cerr := ctx.Err(); cerr != nil {
+							fail(cerr)
+							break
+						}
 						done[next%lead] = false
 						n := next
 						//lint:ignore locksafe mu is function-local to this pool, not a session lock: serialized under-lock emission IS the ordered-emission happens-before contract, and emit has no path back to mu

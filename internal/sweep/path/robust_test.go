@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -304,6 +305,105 @@ func TestAdaptiveCtxCancelBetweenRounds(t *testing.T) {
 	}
 	if rounds.Load() != 1 {
 		t.Fatalf("refinement ran %d solve rounds after cancellation", rounds.Load())
+	}
+}
+
+// TestCancelAfterLastClaim pins what each pool reports when cancellation
+// arrives after the last segment (or batch) was claimed:
+//
+//   - RunCtx polls only at claims, so once every segment has passed its
+//     claim the run finishes whole and reports success (nil);
+//   - RunOrderedCtx also polls before each emission, so the same cancel
+//     suppresses the last segment's emit and the run returns ctx.Err();
+//   - AdaptiveCtx cancelled inside its final batch returns the completed
+//     search (same stats as an uncancelled run) and nil; cancelled inside
+//     an earlier batch it returns ctx.Err().
+//
+// The last segment's runSegment waits until every other segment has run
+// before cancelling, so the outcome is the same at any worker count.
+func TestCancelAfterLastClaim(t *testing.T) {
+	pl := New([]int{12, 4}, 0)
+	lastLo, _ := pl.Segment(pl.Chains() - 1)
+	// runLastCancels returns a runSegment that counts finished segments and,
+	// on the last one, waits for all others before cancelling.
+	runLastCancels := func(cancel func(), ran *atomic.Int64) func(lo int) {
+		return func(lo int) {
+			if lo == lastLo {
+				for ran.Load() < int64(pl.Chains()-1) {
+					runtime.Gosched()
+				}
+				cancel()
+			}
+			ran.Add(1)
+		}
+	}
+	for _, workers := range []int{1, 3, 9} {
+		t.Run(fmt.Sprintf("RunCtx/w=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var ran atomic.Int64
+			seg := runLastCancels(cancel, &ran)
+			err := RunCtx(ctx, pl, workers, func() int { return 0 },
+				func(_ int, lo, hi int) error { seg(lo); return nil })
+			if err != nil {
+				t.Fatalf("cancel after the last claim: got %v, want nil", err)
+			}
+			if n := ran.Load(); n != int64(pl.Chains()) {
+				t.Fatalf("ran %d of %d segments", n, pl.Chains())
+			}
+		})
+		t.Run(fmt.Sprintf("RunOrderedCtx/w=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var ran atomic.Int64
+			var lastEmitted atomic.Bool
+			seg := runLastCancels(cancel, &ran)
+			err := RunOrderedCtx(ctx, pl, workers, func() int { return 0 },
+				func(_ int, c, lo, hi int) error { seg(lo); return nil },
+				func(c, lo, hi int) error {
+					if c == pl.Chains()-1 {
+						lastEmitted.Store(true)
+					}
+					return nil
+				})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancel before the last emission: got %v, want context.Canceled", err)
+			}
+			if lastEmitted.Load() {
+				t.Fatal("the last segment was emitted after cancellation")
+			}
+		})
+	}
+
+	dims := []int{16, 16}
+	score := func(rank int) float64 {
+		x, y := rank/16-5, rank%16-11
+		return -float64(x*x + y*y)
+	}
+	ref, err := Adaptive(dims, AdaptiveConfig{}, func([][][]int) error { return nil }, score)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := ref.Rounds + 1 // the coarse lattice, then one batch per round
+	if batches < 2 {
+		t.Fatalf("search ran %d batches; the test needs at least 2", batches)
+	}
+	for _, cancelAt := range []int{batches, batches - 1} {
+		ctx, cancel := context.WithCancel(context.Background())
+		n := 0
+		stats, err := AdaptiveCtx(ctx, dims, AdaptiveConfig{}, func([][][]int) error {
+			if n++; n == cancelAt {
+				cancel()
+			}
+			return nil
+		}, score)
+		cancel()
+		switch {
+		case cancelAt == batches && (err != nil || stats != ref):
+			t.Fatalf("cancel in the final batch: got %+v, %v; want %+v, nil", stats, err, ref)
+		case cancelAt < batches && !errors.Is(err, context.Canceled):
+			t.Fatalf("cancel in batch %d of %d: got %v, want context.Canceled", cancelAt, batches, err)
+		}
 	}
 }
 
