@@ -40,7 +40,7 @@ import (
 	"neutralnet/internal/solver"
 )
 
-// cpGridPts is the grid resolution of the per-coordinate grid+golden
+// cpGridPts is the grid resolution of the per-coordinate grid+Brent
 // maximization (the duopoly utility has no closed-form marginal, so every
 // best response is a derivative-free search). 17 matches the historical
 // hand-rolled loop, keeping the registry path bit-identical to it.
@@ -306,9 +306,9 @@ func (ws *Workspace) N() int { return len(ws.m.CPs) }
 // Box is the subsidy interval [0, q].
 func (ws *Workspace) Box() (lo, hi float64) { return 0, ws.m.Q }
 
-// Best computes CP i's best response against the profile x by grid+golden
-// search of the summed utility (17-point grid, matching the historical
-// loop). The solver layer iterates on the workspace's own s buffer, so x
+// Best computes CP i's best response against the profile x by a 17-point
+// grid scan of the summed utility refined by Brent's parabolic search
+// (numeric.MaximizeOnInterval; the grid matches the historical loop). The solver layer iterates on the workspace's own s buffer, so x
 // normally aliases it; a defensive copy covers solvers that present a
 // different iterate.
 //
@@ -482,9 +482,9 @@ func (m *Market) PriceEquilibrium(pMax float64, maxRounds int) ([2]float64, []fl
 // monoWorkspace is the single-network counterpart of Workspace behind
 // MonopolyBenchmark: the capacity-equivalent monopolist's subsidization game
 // as a solver.Problem over one physical workspace, with the same 17-point
-// grid+golden coordinate search as the historical miniature loop (the
-// duopoly package stays independent of the game package, so the miniature
-// is expressed here rather than on game.Workspace).
+// grid+Brent coordinate search as Workspace.Best (the duopoly package stays
+// independent of the game package, so the miniature is expressed here
+// rather than on game.Workspace).
 type monoWorkspace struct {
 	sys  model.System
 	phys *model.Workspace

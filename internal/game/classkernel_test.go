@@ -83,7 +83,8 @@ func TestMarginalWSBitIdentity(t *testing.T) {
 
 // TestMarginalReusesSolvedExps pins the marginal layer's exp count on the
 // eight-CP catalog: the state solve costs exactly 2 class exponentials per
-// gap evaluation of the reference root solve, and the marginal at the
+// gap evaluation of the reference root solve except its opening g(0),
+// which costs none, and the marginal at the
 // solved φ — λ_i, ∂φ/∂m_i through dg/dφ, and dλ_i/dφ — adds none. The counts
 // repeat exactly on a fresh workspace.
 func TestMarginalReusesSolvedExps(t *testing.T) {
@@ -109,8 +110,8 @@ func TestMarginalReusesSolvedExps(t *testing.T) {
 				t.Fatal(err)
 			}
 			solved := ws.phys.ClassExps()
-			if solved != 2*gapEvals {
-				t.Fatalf("x=%g: state solve cost %d exps for %d gap evaluations, want 2 each", x, solved, gapEvals)
+			if solved != 2*(gapEvals-1) {
+				t.Fatalf("x=%g: state solve cost %d exps for %d gap evaluations, want 2 each after g(0), which costs 0", x, solved, gapEvals)
 			}
 			g.marginalWS(ws, st)
 			if extra := ws.phys.ClassExps() - solved; extra != 0 {

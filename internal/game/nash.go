@@ -176,7 +176,7 @@ func (g *Game) BestResponseWS(ws *Workspace, i int, s []float64) (float64, error
 }
 
 // BestResponseSearch maximizes U_i(·; s_{−i}) on [0, q] by grid scan plus
-// golden-section refinement. It makes no concavity assumption and is the
+// Brent parabolic refinement. It makes no concavity assumption and is the
 // fallback (and ablation) path for BestResponse.
 func (g *Game) BestResponseSearch(i int, s []float64) (float64, error) {
 	if len(s) != g.N() {

@@ -335,7 +335,7 @@ func (g *Game) seededBrent(ws *Workspace, a, b, fa, fb float64) (float64, bool) 
 }
 
 // bestResponseSearchWS is BestResponseSearch on the workspace iterate:
-// grid scan plus golden-section refinement of the raw utility, with no
+// grid scan plus Brent parabolic refinement of the raw utility, with no
 // concavity assumption.
 //
 //neutralnet:hotpath

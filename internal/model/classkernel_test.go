@@ -167,8 +167,9 @@ func eightCPCatalog() *System {
 
 // TestClassExpCount pins the work count that shows the λ layer moved: on
 // the eight-CP catalog a cold SolveInto computes exactly 2 exponentials per
-// gap evaluation (one per β class, where System.Gap computes 8) and none
-// for the throughput fill at the solved φ, and the counts repeat exactly.
+// gap evaluation (one per β class, where System.Gap computes 8) except the
+// opening g(0), which costs none, and none for the throughput fill at the
+// solved φ, and the counts repeat exactly.
 func TestClassExpCount(t *testing.T) {
 	sys := eightCPCatalog()
 	for _, p := range []float64{0.1, 0.5, 0.9, 1.4} {
@@ -183,14 +184,49 @@ func TestClassExpCount(t *testing.T) {
 			if _, err := sys.SolveInto(w); err != nil {
 				t.Fatal(err)
 			}
-			if gapEvals == 0 || w.ClassExps() != 2*gapEvals {
-				t.Fatalf("p=%g: %d exps for %d gap evaluations, want 2 per evaluation and 0 for the Θ fill", p, w.ClassExps(), gapEvals)
+			if gapEvals == 0 || w.ClassExps() != 2*(gapEvals-1) {
+				t.Fatalf("p=%g: %d exps for %d gap evaluations, want 2 per evaluation after g(0) and 0 for the Θ fill", p, w.ClassExps(), gapEvals)
 			}
 			counts[rep] = w.ClassExps()
 		}
 		if counts[0] != counts[1] {
 			t.Fatalf("p=%g: exp count did not repeat: %v", p, counts)
 		}
+	}
+}
+
+// TestGapAtZeroSkipsExps pins the g(0) shortcut: with every class β finite
+// the gap at φ = ±0 computes no exponential, leaves both cache banks
+// holding what they held, and equals System.Gap bit for bit; a class with
+// infinite β keeps the exponential path, where e^{−∞·0} is NaN.
+func TestGapAtZeroSkipsExps(t *testing.T) {
+	sys := eightCPCatalog()
+	w := NewWorkspace()
+	w.Bind(sys)
+	sys.PopulationsInto(w.M(), sys.UniformPrices(0.5))
+	w.gap(0.3)
+	w.gap(0.5)
+	exps := w.ClassExps()
+	for _, phi := range []float64{0, math.Copysign(0, -1)} {
+		if g, ref := w.gap(phi), sys.Gap(phi, w.M()); !sameBits(g, ref) {
+			t.Fatalf("φ=%g: gap %x != %x", phi, g, ref)
+		}
+	}
+	w.Lambda(0, 0.3)
+	w.Lambda(0, 0.5)
+	if extra := w.ClassExps() - exps; extra != 0 {
+		t.Fatalf("g(0) and λ at the two cached φ cost %d exps, want 0", extra)
+	}
+
+	inf := &System{CPs: []CP{
+		{Demand: econ.NewExpDemand(2), Throughput: econ.ExpThroughput{Beta: 2, Peak: 1}},
+		{Demand: econ.NewExpDemand(2), Throughput: econ.ExpThroughput{Beta: math.Inf(1), Peak: 1}},
+	}, Mu: 1, Util: econ.LinearUtilization{}}
+	w.Bind(inf)
+	copy(w.M(), []float64{0.4, 0.3})
+	g, ref := w.gap(0), inf.Gap(0, w.M())
+	if w.ClassExps()-exps != 2 || !math.IsNaN(g) || !math.IsNaN(ref) {
+		t.Fatalf("infinite β: gap %v (ref %v) after %d exps, want NaN after 2", g, ref, w.ClassExps()-exps)
 	}
 }
 

@@ -66,13 +66,15 @@ type Workspace struct {
 	// φ: ePhi[b] is the φ of bank b (NaN: empty) and bank is the one last
 	// used. Two, because Brent usually ends on a sub-tolerance probe and
 	// returns the point before it; the Θ fill and the marginal at the solved
-	// φ then still hit. exps counts the class exponentials computed since
-	// construction.
-	rows    []classRow
-	classes int
-	ePhi    [2]float64
-	bank    int
-	exps    int
+	// φ then still hit. unitAtZero records that every class β is finite, so
+	// e^{−β·0} = 1 exactly and the gap at φ = 0 needs no exponential. exps
+	// counts the class exponentials computed since construction.
+	rows       []classRow
+	classes    int
+	ePhi       [2]float64
+	bank       uint8
+	unitAtZero bool
+	exps       int
 
 	// gapFn is the utilization gap g(φ) = Θ(φ, µ) − Σ_k m_k λ_k(φ) bound to
 	// the workspace's current system and population buffer. Binding it once
@@ -159,6 +161,7 @@ func (w *Workspace) Bind(sys *System) {
 	w.theta = w.theta[:n]
 	w.rows = w.rows[:n]
 	w.classes = 0
+	w.unitAtZero = true
 	for k := range sys.CPs {
 		row := &w.rows[k]
 		row.class = -1
@@ -168,6 +171,9 @@ func (w *Workspace) Bind(sys *System) {
 		}
 		row.peak = et.Peak
 		row.class = w.classOf(et.Beta)
+		if math.IsInf(et.Beta, 0) || math.IsNaN(et.Beta) {
+			w.unitAtZero = false
+		}
 	}
 	w.ePhi = [2]float64{math.NaN(), math.NaN()}
 }
@@ -236,9 +242,15 @@ func (w *Workspace) dlambda(k int, phi float64) float64 {
 }
 
 // gap is System.Gap over the population buffer, reading the class cache.
+// Every utilization solve evaluates g(0) first; when every class β is
+// finite that evaluation is served by gapAtZero, exponential-free and
+// leaving both cache banks untouched.
 //
 //neutralnet:hotpath
 func (w *Workspace) gap(phi float64) float64 {
+	if phi == 0 && w.unitAtZero {
+		return w.gapAtZero(phi)
+	}
 	w.classExp(phi)
 	demand := 0.0
 	e := w.bank & 1
@@ -249,6 +261,25 @@ func (w *Workspace) gap(phi float64) float64 {
 		var lam float64
 		if r := &w.rows[k]; r.class >= 0 {
 			lam = r.peak * w.rows[r.class].e[e]
+		} else {
+			lam = w.sys.CPs[k].Throughput.Lambda(phi)
+		}
+		demand += mk * lam
+	}
+	return w.sys.Util.Theta(phi, w.sys.Mu) - demand
+}
+
+// gapAtZero is gap at φ = ±0 for a class table whose β are all finite:
+// e^{−β·0} = 1 exactly, so λ_k(0) = Peak_k·1 = Peak_k, bit for bit the
+// value the cached exponential would give.
+//
+//neutralnet:hotpath
+func (w *Workspace) gapAtZero(phi float64) float64 {
+	demand := 0.0
+	for k, mk := range w.m {
+		var lam float64
+		if r := &w.rows[k]; r.class >= 0 {
+			lam = r.peak
 		} else {
 			lam = w.sys.CPs[k].Throughput.Lambda(phi)
 		}

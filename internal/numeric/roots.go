@@ -21,7 +21,9 @@ import (
 const (
 	// RootTol is the default absolute x-tolerance for root finders.
 	RootTol = 1e-12
-	// OptTol is the default x-tolerance for 1-D optimizers.
+	// OptTol is the default x-tolerance for 1-D optimizers. MinimizeGolden
+	// stops when its bracket is this wide; MaximizeOnInterval uses it as
+	// the absolute floor under its relative √ε·|x| tolerance.
 	OptTol = 1e-10
 	// MaxIter bounds all iterative kernels.
 	MaxIter = 200

@@ -19,7 +19,8 @@ func BenchmarkOligopolyCPEquilibrium(b *testing.B) {
 }
 
 // BenchmarkOligopolyWS is the workspace counterpart: the same N = 3 solve on
-// a reused workspace, which must report zero allocations.
+// a reused workspace, which must report zero allocations. evals/op is the
+// best-response layer's work: summed-utility evaluations per solve.
 func BenchmarkOligopolyWS(b *testing.B) {
 	m := smallMarketN(3)
 	ws := NewWorkspace()
@@ -27,6 +28,7 @@ func BenchmarkOligopolyWS(b *testing.B) {
 	if _, _, err := m.CPEquilibriumWS(ws, p, nil); err != nil {
 		b.Fatal(err)
 	}
+	evals := ws.UtilityEvals()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -34,6 +36,7 @@ func BenchmarkOligopolyWS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(ws.UtilityEvals()-evals)/float64(b.N), "evals/op")
 }
 
 // BenchmarkOligopolyChainWS measures the sweep inner loop: warm-carried,

@@ -36,7 +36,7 @@ import (
 	"neutralnet/internal/solver"
 )
 
-// cpGridPts is the grid resolution of the per-coordinate grid+golden
+// cpGridPts is the grid resolution of the per-coordinate grid+Brent
 // maximization, matching the duopoly (and historical) 17-point search so
 // the N = 2 best responses are bit-identical to duopoly.Workspace.Best.
 const cpGridPts = 17
@@ -237,6 +237,7 @@ type Workspace struct {
 	i          int // player the 1-D closure evaluates for
 	utilityFn  func(float64) float64
 	utilityErr error
+	evals      int // utility evaluations run by utilityFn since construction
 
 	fp   solver.Cached // cached fixed-point instance for the last-used scheme
 	fbFp solver.Cached // fallback-ladder instance, cached apart from fp
@@ -246,6 +247,7 @@ type Workspace struct {
 func NewWorkspace() *Workspace {
 	ws := &Workspace{}
 	ws.utilityFn = func(x float64) float64 {
+		ws.evals++
 		old := ws.s[ws.i]
 		ws.s[ws.i] = x
 		u, err := ws.utilityOne(ws.i)
@@ -258,6 +260,11 @@ func NewWorkspace() *Workspace {
 	}
 	return ws
 }
+
+// UtilityEvals reports how many summed-utility evaluations the workspace's
+// best-response searches have run since construction: the work count of
+// the best-response layer, one N-network utilization solve each.
+func (ws *Workspace) UtilityEvals() int { return ws.evals }
 
 // bind points the workspace at market m under prices p and sizes every
 // buffer for its ISP and CP counts. Rebinding between markets of the same
@@ -354,8 +361,9 @@ func (ws *Workspace) N() int { return len(ws.m.CPs) }
 // Box is the subsidy interval [0, q].
 func (ws *Workspace) Box() (lo, hi float64) { return 0, ws.m.Q }
 
-// Best computes CP i's best response against the profile x by grid+golden
-// search of the summed utility (17-point grid, matching the duopoly). The
+// Best computes CP i's best response against the profile x by a 17-point
+// grid scan of the summed utility refined by Brent's parabolic search
+// (numeric.MaximizeOnInterval, the same search as the duopoly). The
 // solver layer iterates on the workspace's own s buffer, so x normally
 // aliases it; a defensive copy covers solvers that present a different
 // iterate.

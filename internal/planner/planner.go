@@ -46,7 +46,7 @@ type Result struct {
 
 // ascent is the planner's coordinate-ascent problem over a game workspace:
 // a solver.Problem whose Best(i, ·) maximizes the objective along
-// coordinate i with the historical 25-point grid+golden search. The
+// coordinate i with the historical 25-point grid, refined by Brent. The
 // fixed points of this map are exactly the coordinate-wise optima the
 // historical cyclic ascent converged to.
 type ascent struct {
@@ -114,7 +114,7 @@ func (a *ascent) Best(i int, x []float64) (float64, error) {
 // Maximize runs coordinate ascent on the objective over s ∈ [0, q]^n,
 // dispatched through the default Gauss–Seidel scheme (cyclic coordinate
 // ascent, reproducing the historical loop bit for bit). Each coordinate step
-// is a guarded grid+golden maximization (the objective is smooth but not
+// is a guarded grid+Brent maximization (the objective is smooth but not
 // concave, so the scan matters). tol is the sup-norm movement tolerance
 // (0 → 1e-7); maxSweeps bounds the outer loop (0 → 60).
 func Maximize(sys *model.System, p, q float64, obj Objective, tol float64, maxSweeps int) (Result, error) {
