@@ -121,8 +121,11 @@ func (s SolverStats) Total() uint64 { return s.AutoGaussSeidel + s.AutoSOR + s.A
 
 // SolverStats returns a snapshot of the Engine's auto-scheme branch and
 // fallback-ladder counters. Safe to call concurrently with running sweeps.
-func (e *Engine) SolverStats() SolverStats {
-	c := e.telem.Snapshot()
+func (e *Engine) SolverStats() SolverStats { return solverStats(&e.telem) }
+
+// solverStats snapshots a solver telemetry sink as SolverStats.
+func solverStats(t *solver.Telemetry) SolverStats {
+	c := t.Snapshot()
 	return SolverStats{
 		AutoGaussSeidel: c.GaussSeidel,
 		AutoSOR:         c.SOR,

@@ -13,7 +13,7 @@ import "neutralnet/internal/sweep"
 func (e *Engine) SetFaultHook(h sweep.FaultHook) { e.cfg.faultHook = h }
 
 // SetFaultHook arms the duopoly session's per-point fault seam.
-func (s *DuopolySession) SetFaultHook(h sweep.FaultHook) { s.faultHook = h }
+func (s *DuopolySession) SetFaultHook(h sweep.FaultHook) { s.cfg.faultHook = h }
 
 // SetFaultHook arms the oligopoly session's per-point fault seam.
-func (s *OligopolySession) SetFaultHook(h sweep.FaultHook) { s.faultHook = h }
+func (s *OligopolySession) SetFaultHook(h sweep.FaultHook) { s.cfg.faultHook = h }

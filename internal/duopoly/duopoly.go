@@ -26,6 +26,12 @@
 // capacity-equivalent monopolist, and subsidization remains
 // revenue-improving for both competitors — the paper's argument that ISP
 // competition is a complement, not a substitute, for subsidization.
+//
+// This package is no longer on the production path: Engine.Duopoly runs
+// the N-ISP internal/oligopoly market at N = 2. It is kept as the bitwise
+// N = 2 reference that internal/oligopoly/backend_test.go pins the
+// generalization to, and as the market the perfbench per-layer replay
+// (replayDuopoly) still exercises.
 package duopoly
 
 import (

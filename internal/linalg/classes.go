@@ -1,12 +1,8 @@
 package linalg
 
-import "math"
-
-// The predicates in this file back the paper's uniqueness and stability
-// machinery: Theorem 4 requires −u to be a P-function (whose Jacobian is a
-// P-matrix when restricted to the interior CPs), and Corollary 1's
-// off-diagonal monotonicity makes −∇u a Z-matrix; a P-matrix that is also a
-// Z-matrix is an M-matrix (Leontief-stable).
+// The predicate in this file backs the paper's uniqueness machinery:
+// Theorem 4 requires −u to be a P-function, whose Jacobian is a P-matrix
+// when restricted to the interior CPs.
 
 // IsPMatrix reports whether every principal minor of square a is strictly
 // positive. The test enumerates all 2ⁿ−1 nonempty principal submatrices,
@@ -27,65 +23,6 @@ func IsPMatrix(a *Matrix) bool {
 		}
 		if Det(a.Submatrix(idx, idx)) <= 0 {
 			return false
-		}
-	}
-	return true
-}
-
-// IsZMatrix reports whether all off-diagonal entries of a are ≤ tol-close to
-// nonpositive.
-func IsZMatrix(a *Matrix, tol float64) bool {
-	n := a.Rows()
-	if n != a.Cols() {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && a.At(i, j) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// IsMMatrix reports whether a is a (nonsingular) M-matrix: a Z-matrix that is
-// also a P-matrix. For such matrices A⁻¹ ≥ 0 entrywise, the property
-// Corollary 1 uses to sign ∂s/∂q.
-func IsMMatrix(a *Matrix, tol float64) bool {
-	return IsZMatrix(a, tol) && IsPMatrix(a)
-}
-
-// IsStrictlyDiagonallyDominant reports whether |a_ii| > Σ_{j≠i} |a_ij| for
-// every row. Strict diagonal dominance with positive diagonal implies the
-// P-matrix property and is a cheap sufficient check used by the game solver's
-// diagnostics.
-func IsStrictlyDiagonallyDominant(a *Matrix) bool {
-	n := a.Rows()
-	if n != a.Cols() {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		off := 0.0
-		for j := 0; j < n; j++ {
-			if j != i {
-				off += math.Abs(a.At(i, j))
-			}
-		}
-		if math.Abs(a.At(i, i)) <= off {
-			return false
-		}
-	}
-	return true
-}
-
-// EntrywiseNonnegative reports whether every entry of a is ≥ −tol.
-func EntrywiseNonnegative(a *Matrix, tol float64) bool {
-	for i := 0; i < a.Rows(); i++ {
-		for j := 0; j < a.Cols(); j++ {
-			if a.At(i, j) < -tol {
-				return false
-			}
 		}
 	}
 	return true

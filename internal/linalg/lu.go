@@ -105,40 +105,6 @@ func (f *LU) Det() float64 {
 	return d
 }
 
-// Solve solves A·x = b via a fresh LU factorization.
-func Solve(a *Matrix, b Vector) (Vector, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Inverse returns A⁻¹ via LU solves against identity columns.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows()
-	inv := NewMatrix(n, n)
-	e := make(Vector, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
 // Det returns det(A), or 0 if A is exactly singular.
 func Det(a *Matrix) float64 {
 	f, err := Factorize(a)

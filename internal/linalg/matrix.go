@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "fmt"
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -18,30 +14,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid matrix shape %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices, which must be rectangular.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		panic("linalg: FromRows with no rows")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic("linalg: FromRows with ragged rows")
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -63,51 +35,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d · %dx%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	out := NewMatrix(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.cols; j++ {
-				out.data[i*out.cols+j] += a * b.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m·v.
-func (m *Matrix) MulVec(v Vector) Vector {
-	mustSameLen(m.cols, len(v))
-	out := make(Vector, m.rows)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for j := 0; j < m.cols; j++ {
-			s += m.At(i, j) * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Submatrix returns the matrix restricted to the given row and column index
 // sets (in order). Used for principal minors and for the Ñ-restricted
 // Jacobian of Theorem 6.
@@ -119,34 +46,4 @@ func (m *Matrix) Submatrix(rowIdx, colIdx []int) *Matrix {
 		}
 	}
 	return out
-}
-
-// NormInf returns the induced infinity norm (max absolute row sum).
-func (m *Matrix) NormInf() float64 {
-	best := 0.0
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for j := 0; j < m.cols; j++ {
-			s += math.Abs(m.At(i, j))
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// String formats the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			fmt.Fprintf(&b, "% .6g", m.At(i, j))
-			if j < m.cols-1 {
-				b.WriteByte('\t')
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -1,8 +1,8 @@
 // Package linalg provides the dense linear-algebra substrate used by the
 // equilibrium sensitivity analysis (Theorem 6 of the paper): vectors,
 // row-major matrices, LU factorization with partial pivoting for solves and
-// inverses, and the matrix-class predicates the paper's uniqueness and
-// stability arguments rely on (P-matrices, Z-matrices, M-matrices).
+// determinants, and the P-matrix predicate the paper's uniqueness argument
+// (Theorem 4) relies on.
 //
 // Sizes in this repository are tiny (the number of CP types, ≤ ~16), so the
 // implementation favors clarity and exactness of the predicates over
@@ -10,87 +10,10 @@
 // exponential but exact and instantaneous at these sizes.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vector is a dense float64 vector.
 type Vector []float64
-
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
-
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
-
-// Add returns v + w.
-func (v Vector) Add(w Vector) Vector {
-	mustSameLen(len(v), len(w))
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
-// Sub returns v − w.
-func (v Vector) Sub(w Vector) Vector {
-	mustSameLen(len(v), len(w))
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
-// Scale returns c·v.
-func (v Vector) Scale(c float64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = c * v[i]
-	}
-	return out
-}
-
-// Dot returns the inner product ⟨v, w⟩.
-func (v Vector) Dot(w Vector) float64 {
-	mustSameLen(len(v), len(w))
-	s := 0.0
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
-// NormInf returns max_i |v_i|.
-func (v Vector) NormInf() float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Norm2 returns the Euclidean norm.
-func (v Vector) Norm2() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Sum returns Σ v_i.
-func (v Vector) Sum() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
 
 func mustSameLen(a, b int) {
 	if a != b {

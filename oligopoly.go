@@ -3,61 +3,29 @@ package neutralnet
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
-	"sync"
+	"strings"
 
-	"neutralnet/internal/numeric"
 	"neutralnet/internal/oligopoly"
-	"neutralnet/internal/solver"
 	"neutralnet/internal/sweep"
-	"neutralnet/internal/sweep/path"
 )
 
-// OligopolySession is the N-ISP generalization of DuopolySession: a
-// reusable equilibrium-computation session over an N-network access market
-// sharing the Engine's CP catalog. It owns one oligopoly workspace (so
+// OligopolySession is a reusable equilibrium-computation session over an
+// N-network access market sharing the Engine's CP catalog — the §6
+// competition scenarios at any N. It owns one oligopoly workspace (so
 // repeated solves are allocation-free once warm), a bounded equilibrium
 // cache keyed on the price vector, and a warm-start store seeding each CP
 // equilibrium from the previous one.
 //
 // An OligopolySession is safe for concurrent use (solves are serialized on
 // the one workspace; sweeps run their own worker pools on private
-// workspaces). Like DuopolySession, warm starting makes a solved
-// equilibrium depend on the session's solve history within solver
-// tolerance; the sweeps are the exception — they never read the session
-// state, so their surfaces are bit-identical regardless of history or
-// worker count.
+// workspaces). Warm starting makes a solved equilibrium depend on the
+// session's solve history within solver tolerance; the sweeps are the
+// exception — they never read the session state, so their surfaces are
+// bit-identical regardless of history or worker count.
 type OligopolySession struct {
-	m       oligopoly.Market
-	workers int
-
-	// Adaptive-refinement knobs, inherited from the Engine's options
-	// (WithRefineObjective / WithRefineBudget / WithRefineDepth).
-	objective    string
-	refineBudget int
-	refineDepth  int
-
-	// quantiles are the probabilities tracked by SweepPricesStream
-	// summaries (WithQuantiles).
-	quantiles []float64
-
-	// telem accumulates the solver layer's scheme decisions for this
-	// session, shared with every sweep worker; read through SolverStats.
-	telem solver.Telemetry
-
-	// faultHook is the test-only deterministic fault seam (see
-	// internal/faultinject), called once per sweep point with its
-	// row-major rank. Settable only from export_test.go; nil in
-	// production.
-	faultHook sweep.FaultHook
-
-	mu      sync.Mutex
-	ws      *oligopoly.Workspace
-	warmBuf []float64
-	warm    []float64
-	cache   map[string]OligopolyOutcome
-	order   []string // insertion order, for bounded FIFO eviction
-	cap     int
+	sessionCore[OligopolyOutcome]
 }
 
 // OligopolyOutcome is one solved oligopoly competition point: the CP
@@ -81,6 +49,25 @@ func (o *OligopolyOutcome) TotalRevenue() float64 {
 	return total
 }
 
+// oligopolyOutcome assembles an owning OligopolyOutcome from a (possibly
+// workspace-borrowed) price vector, profile and state.
+func oligopolyOutcome(m *oligopoly.Market, p, prof []float64, st oligopoly.State) OligopolyOutcome {
+	n := m.Players()
+	out := OligopolyOutcome{
+		P:       append([]float64(nil), p...),
+		Shares:  append([]float64(nil), st.Shares...),
+		S:       append([]float64(nil), prof...),
+		Phi:     make([]float64, n),
+		Revenue: make([]float64, n),
+		Welfare: m.Welfare(st),
+	}
+	for k := 0; k < n; k++ {
+		out.Phi[k] = st.Net[k].Phi
+		out.Revenue[k] = st.Revenue(k)
+	}
+	return out
+}
+
 func (o OligopolyOutcome) clone() OligopolyOutcome {
 	o.P = append([]float64(nil), o.P...)
 	o.Shares = append([]float64(nil), o.Shares...)
@@ -90,22 +77,18 @@ func (o OligopolyOutcome) clone() OligopolyOutcome {
 	return o
 }
 
-// priceKey encodes a price vector as a FIFO-cache map key from the exact
-// float bits, with −0 normalized to +0 so the bit key agrees with ==
-// equality on every price a solve can cache (the duopoly's array key has
-// the same −0 folding through ==).
-func priceKey(p []float64) string {
-	buf := make([]byte, 0, 8*len(p))
-	for _, v := range p {
-		if v == 0 {
-			v = 0 // fold −0 into +0
-		}
-		b := math.Float64bits(v)
-		buf = append(buf,
-			byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
-			byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
+func (o OligopolyOutcome) poisoned() OligopolyOutcome {
+	for k := range o.Revenue {
+		o.Revenue[k] = math.NaN()
 	}
-	return string(buf)
+	o.Welfare = math.NaN()
+	return o
+}
+
+func (o OligopolyOutcome) subsidies() []float64 { return o.S }
+func (o OligopolyOutcome) key() string          { return priceKey(o.P) }
+func (o OligopolyOutcome) objectives() (float64, float64) {
+	return o.TotalRevenue(), o.Welfare
 }
 
 // Oligopoly opens an N-ISP competition session over the Engine's CP catalog
@@ -118,32 +101,12 @@ func priceKey(p []float64) string {
 // here as everywhere. The session keeps its own solver telemetry
 // (SolverStats), separate from the Engine's.
 //
-// An N = 2 session reproduces the DuopolySession's results bit for bit; an
-// N = 1 market's MonopolyBenchmark reproduces the duopoly benchmark — both
-// pinned by the root equivalence suite.
+// The DuopolySession is this session at N = 2 behind a [2]float64 facade;
+// an N = 1 market's MonopolyBenchmark reproduces the duopoly benchmark.
 func (e *Engine) Oligopoly(mu []float64, sigma, q float64) (*OligopolySession, error) {
-	s := &OligopolySession{
-		m: oligopoly.Market{
-			CPs: e.sys.CPs, Util: e.sys.Util,
-			Mu: append([]float64(nil), mu...), Sigma: sigma, Q: q,
-			Solver:     string(e.cfg.solver.Method),
-			UtilSolver: e.cfg.solver.UtilSolver,
-			Fallback:   string(e.cfg.solver.Fallback),
-		},
-		workers:      e.cfg.workers,
-		objective:    e.cfg.objective,
-		refineBudget: e.cfg.refineBudget,
-		refineDepth:  e.cfg.refineDepth,
-		quantiles:    e.cfg.quantiles,
-		ws:           oligopoly.NewWorkspace(),
-		cap:          e.cfg.cacheSize,
-	}
-	s.m.Telemetry = &s.telem
-	if err := s.m.Validate(); err != nil {
+	s := &OligopolySession{}
+	if err := s.init(e, sweep.SurfaceOligopoly, mu, sigma, q, oligopolyOutcome); err != nil {
 		return nil, err
-	}
-	if s.cap > 0 {
-		s.cache = make(map[string]OligopolyOutcome, s.cap)
 	}
 	return s, nil
 }
@@ -151,52 +114,19 @@ func (e *Engine) Oligopoly(mu []float64, sigma, q float64) (*OligopolySession, e
 // Players returns N, the session's ISP count.
 func (s *OligopolySession) Players() int { return s.m.Players() }
 
-// CacheLen returns the number of cached oligopoly equilibria.
-func (s *OligopolySession) CacheLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cache)
-}
-
 // CachedPrices returns the resident cache keys oldest-first — the FIFO
 // eviction order: the next insertion past the cache bound evicts the first
 // returned vector. Intended for observability and tests; the slices are a
 // snapshot the caller owns.
 func (s *OligopolySession) CachedPrices() [][]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]float64, len(s.order))
-	for i, key := range s.order {
-		out[i] = append([]float64(nil), s.cache[key].P...)
-	}
-	return out
-}
-
-// SolverStats returns a snapshot of the session's auto-scheme branch
-// counters, accumulated across Solve, the sweeps (all workers),
-// PriceEquilibrium and MonopolyBenchmark. All counters stay zero unless the
-// Engine selected WithSolver(Auto). Safe to call concurrently with a
-// running sweep.
-func (s *OligopolySession) SolverStats() SolverStats {
-	c := s.telem.Snapshot()
-	return SolverStats{
-		AutoGaussSeidel: c.GaussSeidel,
-		AutoSOR:         c.SOR,
-		AutoAnderson:    c.Anderson,
-		FallbackSolves:  c.Fallbacks,
-	}
+	return cachedAs(&s.sessionCore, func(o OligopolyOutcome) []float64 { return append([]float64(nil), o.P...) })
 }
 
 // Solve returns the CP subsidization equilibrium of the oligopoly at access
 // prices p (one per ISP), consulting the cache and warm-starting from the
 // session's previous solve.
 func (s *OligopolySession) Solve(p ...float64) (OligopolyOutcome, error) {
-	if len(p) != s.m.Players() {
-		return OligopolyOutcome{}, fmt.Errorf("oligopoly session: %d prices for %d ISPs", len(p), s.m.Players())
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.solveLocked(p)
+	return s.SolveCtx(context.Background(), p...)
 }
 
 // SolveCtx is Solve with cooperative cancellation: a single solve is one
@@ -204,78 +134,16 @@ func (s *OligopolySession) Solve(p ...float64) (OligopolyOutcome, error) {
 // cancelled context returns ctx.Err() with the session cache and warm
 // store untouched, and an uncancelled call is bit-identical to Solve.
 func (s *OligopolySession) SolveCtx(ctx context.Context, p ...float64) (OligopolyOutcome, error) {
-	if err := ctx.Err(); err != nil {
-		return OligopolyOutcome{}, err
-	}
-	return s.Solve(p...)
+	return s.solveCtx(ctx, p)
 }
 
-func (s *OligopolySession) solveLocked(p []float64) (OligopolyOutcome, error) {
-	key := priceKey(p)
-	if out, ok := s.cache[key]; ok {
-		// Refresh the warm chain from the hit, exactly as the duopoly
-		// session does: the next solve should seed from this profile, its
-		// nearest solved neighbor in solve order.
-		s.warm = numeric.CopyProfile(&s.warmBuf, out.S)
-		return out.clone(), nil
-	}
-	prof, st, err := s.m.CPEquilibriumWS(s.ws, p, s.warm)
-	if err != nil {
-		return OligopolyOutcome{}, &SolveError{
-			Surface: sweep.SurfaceOligopoly, Prices: append([]float64(nil), p...),
-			Scheme: sweep.ResolveScheme(s.m.Solver), Err: err,
-		}
-	}
-	s.warm = numeric.CopyProfile(&s.warmBuf, prof)
-	out := s.outcome(p, prof, st)
-	s.storeLocked(key, out)
-	return out, nil
-}
-
-// outcome assembles an owning OligopolyOutcome from a (possibly
-// workspace-borrowed) profile and state.
-func (s *OligopolySession) outcome(p []float64, prof []float64, st oligopoly.State) OligopolyOutcome {
-	n := s.m.Players()
-	out := OligopolyOutcome{
-		P:       append([]float64(nil), p...),
-		Shares:  append([]float64(nil), st.Shares...),
-		S:       append([]float64(nil), prof...),
-		Phi:     make([]float64, n),
-		Revenue: make([]float64, n),
-		Welfare: s.m.Welfare(st),
-	}
-	for k := 0; k < n; k++ {
-		out.Phi[k] = st.Net[k].Phi
-		out.Revenue[k] = st.Revenue(k)
-	}
-	return out
-}
-
-// storeLocked inserts an outcome into the bounded FIFO cache, evicting the
-// oldest insertion when full. Re-storing a resident vector overwrites the
-// cached outcome and refreshes its FIFO position to newest, matching the
-// duopoly session's contract.
-func (s *OligopolySession) storeLocked(key string, out OligopolyOutcome) {
-	if s.cache == nil {
-		return
-	}
-	if _, ok := s.cache[key]; ok {
-		s.cache[key] = out.clone()
-		for k, k2 := range s.order {
-			if k2 == key {
-				s.order = append(append(s.order[:k], s.order[k+1:]...), key)
-				break
-			}
-		}
-		return
-	}
-	if len(s.order) >= s.cap {
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		delete(s.cache, oldest)
-	}
-	s.cache[key] = out.clone()
-	s.order = append(s.order, key)
+// PriceEquilibrium solves the N ISPs' price competition on [0, pMax] by
+// sequential best responses (maxRounds ≤ 0 selects the default), with the
+// CPs re-equilibrating inside every revenue evaluation, and returns the
+// equilibrium outcome. It runs entirely on its own workspace and leaves
+// the session cache and warm store untouched.
+func (s *OligopolySession) PriceEquilibrium(pMax float64, maxRounds int) (OligopolyOutcome, error) {
+	return s.priceEquilibrium(pMax, maxRounds)
 }
 
 // OligopolySweepResult is a solved (p₁..p_N) price hypercube in row-major
@@ -301,10 +169,18 @@ type OligopolySweepResult struct {
 // Len returns the number of swept grid points.
 func (r *OligopolySweepResult) Len() int { return len(r.Outcomes) }
 
-// At returns the outcome at grid coordinates idx (one index per ISP).
+// At returns the outcome at grid coordinates idx (one index per ISP). It
+// panics, like an out-of-range index expression, when len(idx) differs
+// from the grid count or a coordinate lies outside its grid.
 func (r *OligopolySweepResult) At(idx ...int) OligopolyOutcome {
+	if len(idx) != len(r.Grids) {
+		panic(fmt.Sprintf("neutralnet: OligopolySweepResult.At: %d coordinates for %d grids", len(idx), len(r.Grids)))
+	}
 	rank := 0
 	for d, i := range idx {
+		if i < 0 || i >= len(r.Grids[d]) {
+			panic(fmt.Sprintf("neutralnet: OligopolySweepResult.At: coordinate %d out of range [0:%d] on grid %d", i, len(r.Grids[d]), d))
+		}
 		rank = rank*len(r.Grids[d]) + i
 	}
 	return r.Outcomes[rank]
@@ -312,20 +188,19 @@ func (r *OligopolySweepResult) At(idx ...int) OligopolyOutcome {
 
 // SweepPrices solves the CP equilibrium over the Cartesian price hypercube
 // ×_k grids[k] on a deterministic worker pool — the same traversal
-// scheduler that backs Engine.Sweep and the duopoly price plane, at N
-// dimensions. The hypercube is linearized in snake order (consecutive
-// points are always price neighbors, including at axis turns) and cut into
-// fixed, grid-determined segments; each worker owns a private workspace,
-// and within a segment both the subsidy profile and the per-network
-// utilization seeds φ chain point to point while every segment cold-starts
-// its first point. Results are therefore bit-identical at any worker count
-// (WithWorkers is purely a throughput knob) and independent of the
-// session's history: the sweep never reads the session cache or warm store.
-// Solved points populate the cache afterwards in snake order — under a
-// cache bound the sweep's last points stay resident — and the warm store is
-// refreshed from the final path point, so follow-up Solve calls continue
-// the chain. SweepPrices is SweepPricesCtx under context.Background():
-// never cancelled.
+// scheduler that backs Engine.Sweep, at N dimensions. The hypercube is
+// linearized in snake order (consecutive points are always price
+// neighbors, including at axis turns) and cut into fixed, grid-determined
+// segments; each worker owns a private workspace, and within a segment
+// both the subsidy profile and the per-network utilization seeds φ chain
+// point to point while every segment cold-starts its first point. Results
+// are therefore bit-identical at any worker count (WithWorkers is purely a
+// throughput knob) and independent of the session's history: the sweep
+// never reads the session cache or warm store. Solved points populate the
+// cache afterwards in snake order — under a cache bound the sweep's last
+// points stay resident — and the warm store is refreshed from the final
+// path point, so follow-up Solve calls continue the chain. SweepPrices is
+// SweepPricesCtx under context.Background(): never cancelled.
 func (s *OligopolySession) SweepPrices(grids ...[]float64) (*OligopolySweepResult, error) {
 	return s.SweepPricesCtx(context.Background(), grids...)
 }
@@ -338,89 +213,11 @@ func (s *OligopolySession) SweepPrices(grids ...[]float64) (*OligopolySweepResul
 // into the session happens only after the whole sweep succeeds. A
 // panicking worker likewise surfaces as a *PanicError with nothing folded.
 func (s *OligopolySession) SweepPricesCtx(ctx context.Context, grids ...[]float64) (*OligopolySweepResult, error) {
-	dims, err := s.sweepDims(grids)
+	d, err := s.sweepDense(ctx, grids)
 	if err != nil {
 		return nil, err
 	}
-	pl := path.New(dims, 0)
-	workers := s.sweepWorkers(pl)
-	res := &OligopolySweepResult{
-		Grids:    cloneGrids(grids),
-		Names:    s.cpNames(),
-		Outcomes: make([]OligopolyOutcome, pl.Len()),
-		Workers:  workers,
-		Chains:   pl.Chains(),
-	}
-
-	err = path.RunCtx(ctx, pl, workers,
-		func() *oligoWorker { return s.newOligoWorker() },
-		func(w *oligoWorker, lo, hi int) error {
-			return s.runPriceChain(pl, res.Grids, lo, hi, func(_, rank int, out OligopolyOutcome) {
-				res.Outcomes[rank] = out
-			}, w)
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	// Fold the surface back into the session: cache the tail of the snake
-	// path (only the last cap insertions can survive the FIFO bound — skip
-	// the churn for the rest) and continue the warm chain from the final
-	// path point, exactly as a sequential walk would have left it.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := make([]int, len(dims))
-	if s.cache != nil {
-		lo := 0
-		if pl.Len() > s.cap {
-			lo = pl.Len() - s.cap
-		}
-		for k := lo; k < pl.Len(); k++ {
-			pl.Coords(k, idx)
-			out := res.Outcomes[pl.Index(idx)]
-			s.storeLocked(priceKey(out.P), out)
-		}
-	}
-	pl.Coords(pl.Len()-1, idx)
-	s.warm = numeric.CopyProfile(&s.warmBuf, res.Outcomes[pl.Index(idx)].S)
-	return res, nil
-}
-
-// sweepDims validates a price-grid list against the session's ISP count and
-// returns the hypercube dimensions.
-func (s *OligopolySession) sweepDims(grids [][]float64) ([]int, error) {
-	if len(grids) != s.m.Players() {
-		return nil, fmt.Errorf("oligopoly session: %d price grids for %d ISPs", len(grids), s.m.Players())
-	}
-	dims := make([]int, len(grids))
-	for k, g := range grids {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("oligopoly session: empty price grid %d", k)
-		}
-		dims[k] = len(g)
-	}
-	return dims, nil
-}
-
-// sweepWorkers clamps the session's worker setting to the plan's chain
-// count.
-func (s *OligopolySession) sweepWorkers(pl path.Plan) int {
-	workers := s.workers
-	if workers < 1 {
-		workers = 1
-	}
-	if c := pl.Chains(); workers > c {
-		workers = c
-	}
-	return workers
-}
-
-func cloneGrids(grids [][]float64) [][]float64 {
-	out := make([][]float64, len(grids))
-	for k, g := range grids {
-		out[k] = append([]float64(nil), g...)
-	}
-	return out
+	return &OligopolySweepResult{Grids: d.grids, Names: s.names(), Outcomes: d.outcomes, Workers: d.workers, Chains: d.chains}, nil
 }
 
 // ArgmaxTotalRevenue returns the grid outcome maximizing combined ISP
@@ -429,42 +226,158 @@ func cloneGrids(grids [][]float64) [][]float64 {
 // not poison the maximum by failing every comparison; if every outcome is
 // non-finite the first outcome is returned.
 func (r *OligopolySweepResult) ArgmaxTotalRevenue() OligopolyOutcome {
-	best := r.Outcomes[0]
-	bestV := math.Inf(-1)
-	for i := range r.Outcomes {
-		v := r.Outcomes[i].TotalRevenue()
-		if !math.IsNaN(v) && !math.IsInf(v, 0) && v > bestV {
-			best, bestV = r.Outcomes[i], v
-		}
-	}
+	best, _ := argmaxRevenue(r.Outcomes, r.Outcomes[0], math.Inf(-1))
 	return best
 }
 
-// PriceEquilibrium solves the N ISPs' price competition on [0, pMax] by
-// sequential best responses (maxRounds ≤ 0 selects the default), with the
-// CPs re-equilibrating inside every revenue evaluation, and returns the
-// equilibrium outcome. It runs entirely on its own workspace and leaves the
-// session cache and warm store untouched, for the same history-isolation
-// reasons as the duopoly session.
-func (s *OligopolySession) PriceEquilibrium(pMax float64, maxRounds int) (OligopolyOutcome, error) {
-	p, prof, st, err := s.m.PriceEquilibrium(pMax, maxRounds)
-	if err != nil {
-		return OligopolyOutcome{}, err
-	}
-	return s.outcome(p, prof, st), nil
+// CSV renders the price surface as one row per grid point in row-major
+// order, with per-ISP price/share/utilization/revenue columns and per-CP
+// subsidy columns. For N = 2 the bytes match the duopoly CSV export.
+func (r *OligopolySweepResult) CSV() string {
+	var b strings.Builder
+	// Builder writes cannot fail, so the WriteCSV error is structurally nil.
+	_ = r.WriteCSV(&b)
+	return b.String()
 }
 
-// MonopolyBenchmark solves the capacity-equivalent single-ISP comparator
-// (µ = Σ_k µ_k) at its revenue-optimal price on [0, pMax], for the
-// competition-vs-monopoly comparisons of §6 at any N.
-func (s *OligopolySession) MonopolyBenchmark(pMax float64) (price float64, welfare float64, subsidies []float64, err error) {
-	p, st, sub, err := s.m.MonopolyBenchmark(pMax)
+// WriteCSV streams the CSV rendering of CSV row by row to w — identical
+// bytes with O(row) live memory. The first write error aborts.
+func (r *OligopolySweepResult) WriteCSV(w io.Writer) error {
+	if err := writeSessionCSVHeader(w, len(r.Grids), r.Names); err != nil {
+		return err
+	}
+	for i := range r.Outcomes {
+		o := &r.Outcomes[i]
+		if err := writeSessionCSVRow(w, o.P, o.Shares, o.Phi, o.Revenue, []float64{o.Welfare}, o.S); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// OligopolySweepSegment is one completed chunk of a streamed price sweep:
+// the outcomes of the snake-path range [Lo, Hi) in path order, with each
+// outcome's row-major rank. The slices are only valid during the emission
+// callback — clone what must be retained.
+type OligopolySweepSegment struct {
+	Index    int
+	Lo, Hi   int
+	Outcomes []OligopolyOutcome
+	Ranks    []int
+}
+
+// OligopolySweepSummary is the constant-memory reduction of a streamed
+// price sweep: combined-revenue and welfare accumulators (argmax,
+// min/max/mean, WithQuantiles sketches) with the argmax outcomes retained —
+// everything ArgmaxTotalRevenue answers, without the outcome hypercube.
+type OligopolySweepSummary struct {
+	Grids  [][]float64
+	Names  []string // CP names, matching each outcome's S order
+	Chains int
+	Points int
+
+	// TotalRevenue folds the combined ISP revenue Σ_k p_k·Σθ^k; Welfare
+	// folds Σ v_i·Σ_k θ_i^k. Argmax ties resolve to the lowest row-major
+	// rank, matching ArgmaxTotalRevenue.
+	TotalRevenue SweepAccumulator
+	Welfare      SweepAccumulator
+	BestRevenue  OligopolyOutcome
+	BestWelfare  OligopolyOutcome
+}
+
+// SweepPricesStream solves the price hypercube exactly like SweepPrices —
+// same snake path, segment cut, warm chains and per-point solves — but
+// never materializes the outcome surface: completed segments are handed to
+// emit (which may be nil) in strict snake order and folded into the
+// returned summary, holding O(segment · workers) outcomes live regardless
+// of grid size. The summary is bit-identical at any worker count and
+// session history. The session is left exactly as SweepPrices leaves it:
+// solved points fold into the cache in snake order (under a cache bound
+// the sweep's tail stays resident) and the warm store continues from the
+// final path point — but only when the whole sweep succeeds. A failed,
+// cancelled or panicking sweep leaves the cache and warm store exactly as
+// they were before the call: the fold is staged during the sweep and
+// committed atomically after the last segment, so a follow-up Solve on a
+// failed session is bit-identical to one on a session that never swept.
+// SweepPricesStream is SweepPricesStreamCtx under context.Background().
+func (s *OligopolySession) SweepPricesStream(grids [][]float64, emit func(OligopolySweepSegment) error) (*OligopolySweepSummary, error) {
+	return s.SweepPricesStreamCtx(context.Background(), grids, emit)
+}
+
+// SweepPricesStreamCtx is SweepPricesStream with cooperative cancellation
+// at segment boundaries: the ordered pool polls ctx.Err() once per claimed
+// segment, an uncancelled run is bit-identical to SweepPricesStream at any
+// worker count, and a cancelled run returns ctx.Err() with no further emit
+// calls and the session cache and warm store untouched.
+func (s *OligopolySession) SweepPricesStreamCtx(ctx context.Context, grids [][]float64, emit func(OligopolySweepSegment) error) (*OligopolySweepSummary, error) {
+	st, err := s.sweepStream(ctx, grids, func(c, lo, hi int, outs []OligopolyOutcome, ranks []int) error {
+		if emit == nil {
+			return nil
+		}
+		return emit(OligopolySweepSegment{Index: c, Lo: lo, Hi: hi, Outcomes: outs, Ranks: ranks})
+	})
 	if err != nil {
-		return 0, 0, nil, err
+		return nil, err
 	}
-	w := 0.0
-	for i, cp := range s.m.CPs {
-		w += cp.Value * st.Theta[i]
+	return &OligopolySweepSummary{
+		Grids: st.grids, Names: s.names(), Chains: st.chains, Points: st.points,
+		TotalRevenue: st.revenue, Welfare: st.welfare,
+		BestRevenue: st.bestRevenue, BestWelfare: st.bestWelfare,
+	}, nil
+}
+
+// OligopolyAdaptiveResult is the sparse result of a coarse-to-fine price
+// sweep: only the outcomes the refinement visited, in deterministic solve
+// order, plus the argmax under the session's objective.
+type OligopolyAdaptiveResult struct {
+	Grids     [][]float64
+	Names     []string
+	Objective string
+
+	// Outcomes are the solved points in deterministic solve order; Ranks
+	// give each outcome's row-major index in the hypercube a dense
+	// SweepPrices would build.
+	Outcomes []OligopolyOutcome
+	Ranks    []int
+
+	// Best is the argmax outcome under Objective; BestRank its row-major
+	// rank (−1 when no outcome had a finite objective).
+	Best     OligopolyOutcome
+	BestRank int
+
+	Solved int // len(Outcomes)
+	Dense  int // points a dense SweepPrices would have solved
+	Rounds int // refinement rounds after the coarse stage
+	Cells  int // cells subdivided
+}
+
+// SweepPricesAdaptive locates the price hypercube's argmax — combined ISP
+// revenue by default, welfare under WithRefineObjective — coarse-to-fine: a
+// coarse price lattice is solved first and only the highest-ranked cells
+// are recursively subdivided through warm chains, under the Engine's
+// WithRefineBudget (default 40% of the dense grid) and WithRefineDepth. The
+// refinement trajectory is deterministic at any worker count. Unlike
+// SweepPrices, the session cache and warm store are left untouched: the
+// refinement's chains jump around the hypercube, and folding them in would
+// make the session's warm chain depend on the refinement trajectory.
+// SweepPricesAdaptive is SweepPricesAdaptiveCtx under context.Background().
+func (s *OligopolySession) SweepPricesAdaptive(grids ...[]float64) (*OligopolyAdaptiveResult, error) {
+	return s.SweepPricesAdaptiveCtx(context.Background(), grids...)
+}
+
+// SweepPricesAdaptiveCtx is SweepPricesAdaptive with cooperative
+// cancellation: ctx is polled between refinement rounds and at every
+// chain-segment boundary inside each round's pool. An uncancelled run is
+// bit-identical to SweepPricesAdaptive; a cancelled one returns ctx.Err()
+// (the session was untouched either way).
+func (s *OligopolySession) SweepPricesAdaptiveCtx(ctx context.Context, grids ...[]float64) (*OligopolyAdaptiveResult, error) {
+	a, err := s.sweepAdaptive(ctx, grids)
+	if err != nil {
+		return nil, err
 	}
-	return p, w, sub, nil
+	return &OligopolyAdaptiveResult{
+		Grids: a.grids, Names: s.names(), Objective: a.objective,
+		Outcomes: a.outcomes, Ranks: a.ranks, Best: a.best, BestRank: a.bestRank,
+		Solved: a.solved, Dense: a.dense, Rounds: a.rounds, Cells: a.cells,
+	}, nil
 }
